@@ -18,11 +18,15 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Documentation gate: go vet plus the package-comment check — every
-# package (main and test-only packages included) must carry a godoc
-# package comment; see internal/doccheck for the policy.
+# Documentation gate: go vet, gofmt (every Go file in the checkout,
+# ignored build output aside, must be gofmt-clean) and the
+# package-comment check — every package (main and test-only packages
+# included) must carry a godoc package comment; see internal/doccheck
+# for the policy.
 doc:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(git ls-files -co --exclude-standard '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l flags:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./internal/doccheck $$($(GO) list -f '{{.Dir}}' ./...)
 
 # One pass over every benchmark, mainly as a does-it-run smoke check.

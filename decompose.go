@@ -17,10 +17,11 @@ type Algorithm int
 const (
 	// SemiCoreStar is Algorithm 5 (the paper's best): partial scans with
 	// the cnt support counters; every node computation is guaranteed to
-	// lower a core number. Memory: ~8n bytes. The default.
+	// lower a core number. Memory: ~8.125n bytes (core and cnt arrays
+	// plus an n-bit scan bitset). The default.
 	SemiCoreStar Algorithm = iota
-	// SemiCorePlus is Algorithm 4: partial scans driven by active flags.
-	// Memory: ~5n bytes.
+	// SemiCorePlus is Algorithm 4: partial scans driven by active flags,
+	// kept as an n-bit set. Memory: ~4.125n bytes.
 	SemiCorePlus
 	// SemiCoreBasic is Algorithm 3: full edge scans each iteration.
 	// Memory: ~4n bytes.

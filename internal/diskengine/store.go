@@ -97,6 +97,7 @@ type Store struct {
 	scratch  []uint32
 	mergeBuf []uint32
 	nbrBuf   []uint32
+	rawBuf   []byte // undecoded list bytes of the last disk read
 
 	// Concurrent-read gauges for DiskStats.
 	ovGauge     atomic.Int64
@@ -307,7 +308,10 @@ func (st *Store) diskNeighbors(v uint32, buf []uint32) ([]uint32, error) {
 	if deg == 0 {
 		return buf[:0], nil
 	}
-	raw := make([]byte, 4*deg)
+	if cap(st.rawBuf) < int(4*deg) {
+		st.rawBuf = make([]byte, 4*deg)
+	}
+	raw := st.rawBuf[:4*deg]
 	if err := p.f.ReadAt(raw, off*4); err != nil {
 		return nil, err
 	}
@@ -600,9 +604,22 @@ func (st *Store) ScanDynamic(vmin uint32, vmaxFn func() uint32, want func(v uint
 	return nil
 }
 
+// ScanMarked implements graph.MarkedScanner: the marked ids are read
+// in the order ScanDynamic would read them, so the cache sees the same
+// accesses.
+func (st *Store) ScanMarked(vmin uint32, vmaxFn func() uint32, marks *graph.Marks, fn func(v uint32, nbrs []uint32) error) error {
+	return marks.Visit(vmin, vmaxFn, st.n, func(v uint32) error {
+		nbrs, err := st.neighbors(v)
+		if err != nil {
+			return err
+		}
+		return fn(v, nbrs)
+	})
+}
+
 var (
 	_ maintain.NeighborGraph = (*Store)(nil)
-	_ graph.Source           = (*Store)(nil)
+	_ graph.MarkedScanner    = (*Store)(nil)
 )
 
 func contains(l []uint32, x uint32) bool {

@@ -39,6 +39,11 @@ type Graph struct {
 	arcs    int64 // current logical arc count
 	mem     *stats.MemModel
 	scratch []uint32
+	// mergeBuf is the merged-list buffer scans hand their callbacks;
+	// scanning marks it lent out, so a scan started from inside a
+	// callback merges into a fresh buffer instead.
+	mergeBuf []uint32
+	scanning bool
 	// Compactions counts buffer flushes to disk.
 	Compactions int
 }
@@ -346,18 +351,49 @@ func (g *Graph) Scan(vmin, vmax uint32, want func(v uint32) bool, fn func(v uint
 
 // ScanDynamic implements graph.Source over the merged view.
 func (g *Graph) ScanDynamic(vmin uint32, vmaxFn func() uint32, want func(v uint32) bool, fn func(v uint32, nbrs []uint32) error) error {
+	overlay, done := g.overlayFn(fn)
+	defer done()
+	return g.disk.ScanDynamic(vmin, vmaxFn, want, overlay)
+}
+
+// ScanMarked implements graph.MarkedScanner over the merged view; the
+// disk reads are the disk graph's marked scan.
+func (g *Graph) ScanMarked(vmin uint32, vmaxFn func() uint32, marks *graph.Marks, fn func(v uint32, nbrs []uint32) error) error {
+	overlay, done := g.overlayFn(fn)
+	defer done()
+	return g.disk.ScanMarked(vmin, vmaxFn, marks, overlay)
+}
+
+// overlayFn wraps a scan callback so it sees each disk list merged with
+// the buffered edits, merging into the graph's reusable buffer — or a
+// fresh one when a scan is already running — and returns the release
+// to defer.
+func (g *Graph) overlayFn(fn func(v uint32, nbrs []uint32) error) (overlay func(v uint32, disk []uint32) error, done func()) {
 	var out []uint32
-	return g.disk.ScanDynamic(vmin, vmaxFn, want, func(v uint32, disk []uint32) error {
+	owner := !g.scanning
+	if owner {
+		g.scanning, out = true, g.mergeBuf
+	}
+	overlay = func(v uint32, disk []uint32) error {
 		ins, del := g.ins[v], g.del[v]
 		if len(ins) == 0 && len(del) == 0 {
 			return fn(v, disk)
 		}
 		out = merge(disk, ins, del, out)
 		return fn(v, out)
-	})
+	}
+	done = func() {
+		if owner {
+			g.scanning, g.mergeBuf = false, out[:0]
+		}
+	}
+	return overlay, done
 }
 
-var _ graph.Source = (*Graph)(nil)
+var (
+	_ graph.Source        = (*Graph)(nil)
+	_ graph.MarkedScanner = (*Graph)(nil)
+)
 
 func contains(l []uint32, x uint32) bool {
 	i := sort.Search(len(l), func(i int) bool { return l[i] >= x })

@@ -8,13 +8,19 @@ import (
 
 	"kcore/internal/gen"
 	"kcore/internal/imcore"
+	"kcore/internal/memgraph"
 )
 
 // TestPropertyChurnEquivalence drives random edit sequences with random
 // compaction thresholds against the in-memory mutable-adjacency oracle.
 func TestPropertyChurnEquivalence(t *testing.T) {
 	f := func(seed int64, smallBuffer bool) bool {
-		src := gen.Build(gen.ErdosRenyi(60, 150, seed))
+		// Sized explicitly: gen.Build would size the graph as max id + 1,
+		// which drops trailing isolated nodes the edits below may touch.
+		src, err := memgraph.FromEdges(60, gen.ErdosRenyi(60, 150, seed))
+		if err != nil {
+			return false
+		}
 		buf := 1 << 30
 		if smallBuffer {
 			buf = 8

@@ -126,6 +126,47 @@ func TestSourcesAgreeOnDynamicWindow(t *testing.T) {
 	}
 }
 
+// TestNestedScanKeepsOuterList pins the scan-buffer reuse: a scan
+// started from inside another scan's callback must not overwrite the
+// list the outer callback still holds.
+func TestNestedScanKeepsOuterList(t *testing.T) {
+	srcs := sources(t)
+	// A buffered edit makes the dynamic view hand out merged lists.
+	dyn := srcs["dyn"].(*dyngraph.Graph)
+	for v := uint32(1); ; v++ {
+		if has, err := dyn.HasEdge(0, v); err != nil {
+			t.Fatal(err)
+		} else if !has {
+			if err := dyn.InsertEdge(0, v); err != nil {
+				t.Fatal(err)
+			}
+			break
+		}
+	}
+	noop := func(uint32, []uint32) error { return nil }
+	for name, s := range srcs {
+		last := s.NumNodes() - 1
+		// A first scan leaves the reusable buffers allocated, so the
+		// outer scan below is handed one.
+		if err := s.Scan(0, last, nil, noop); err != nil {
+			t.Fatal(err)
+		}
+		err := s.Scan(0, last, nil, func(v uint32, nbrs []uint32) error {
+			before := fmt.Sprint(nbrs)
+			if err := s.Scan(0, last, nil, noop); err != nil {
+				return err
+			}
+			if after := fmt.Sprint(nbrs); after != before {
+				return fmt.Errorf("nbr(%d) changed under a nested scan: %s -> %s", v, before, after)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}
+
 func TestSourcesAgreeOnDegrees(t *testing.T) {
 	srcs := sources(t)
 	collect := func(s graph.Source) []uint32 {

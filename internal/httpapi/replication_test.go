@@ -43,14 +43,14 @@ func newStubReadOnly(t *testing.T, writeErr error, degraded bool) *stubReadOnly 
 	return &stubReadOnly{sess: sess, g: g, writeErr: writeErr, degraded: degraded}
 }
 
-func (s *stubReadOnly) Snapshot() *serve.Epoch              { return s.sess.Snapshot() }
-func (s *stubReadOnly) Enqueue(ups ...serve.Update) error   { return s.writeErr }
-func (s *stubReadOnly) Apply(ups ...serve.Update) error     { return s.writeErr }
-func (s *stubReadOnly) Sync() error                         { return s.sess.Sync() }
-func (s *stubReadOnly) Counters() *stats.ServeCounters      { return s.sess.Counters() }
-func (s *stubReadOnly) Stats() stats.ServeSnapshot          { return s.sess.Stats() }
-func (s *stubReadOnly) IOStats() kcore.IOStats              { return s.sess.IOStats() }
-func (s *stubReadOnly) Checkpoint() error                   { return s.writeErr }
+func (s *stubReadOnly) Snapshot() *serve.Epoch            { return s.sess.Snapshot() }
+func (s *stubReadOnly) Enqueue(ups ...serve.Update) error { return s.writeErr }
+func (s *stubReadOnly) Apply(ups ...serve.Update) error   { return s.writeErr }
+func (s *stubReadOnly) Sync() error                       { return s.sess.Sync() }
+func (s *stubReadOnly) Counters() *stats.ServeCounters    { return s.sess.Counters() }
+func (s *stubReadOnly) Stats() stats.ServeSnapshot        { return s.sess.Stats() }
+func (s *stubReadOnly) IOStats() kcore.IOStats            { return s.sess.IOStats() }
+func (s *stubReadOnly) Checkpoint() error                 { return s.writeErr }
 func (s *stubReadOnly) Rebalance() (shard.RebalanceReport, error) {
 	return shard.RebalanceReport{}, s.writeErr
 }

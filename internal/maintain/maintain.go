@@ -49,9 +49,8 @@ type Session struct {
 	St *semicore.State
 
 	// Reusable per-operation scratch, epoch-versioned so each operation
-	// starts from "all φ / all inactive" without an O(n) clear.
+	// starts from "all φ" without an O(n) clear.
 	epoch       uint32
-	activeEpoch []uint32
 	status      []uint8
 	statusEpoch []uint32
 	// dirtyBuf collects speculative core raises during InsertStar; the
@@ -100,7 +99,6 @@ func newSession(g Graph, st *semicore.State) *Session {
 	return &Session{
 		G:           g,
 		St:          st,
-		activeEpoch: make([]uint32, n),
 		status:      make([]uint8, n),
 		statusEpoch: make([]uint32, n),
 	}
@@ -111,9 +109,6 @@ func (s *Session) Core() []uint32 { return s.St.Core }
 
 // Cnt returns the live support counters.
 func (s *Session) Cnt() []int32 { return s.St.Cnt }
-
-func (s *Session) active(v uint32) bool { return s.activeEpoch[v] == s.epoch }
-func (s *Session) setActive(v uint32)   { s.activeEpoch[v] = s.epoch }
 
 func (s *Session) stat(v uint32) uint8 {
 	if s.statusEpoch[v] != s.epoch {
@@ -131,10 +126,7 @@ func (s *Session) setStat(v uint32, st uint8) {
 func (s *Session) beginOp(algorithm string) stats.RunStats {
 	s.epoch++
 	if s.epoch == 0 { // wrapped: do the rare O(n) clear
-		for i := range s.activeEpoch {
-			s.activeEpoch[i] = 0
-			s.statusEpoch[i] = 0
-		}
+		clear(s.statusEpoch)
 		s.epoch = 1
 	}
 	return stats.RunStats{Algorithm: algorithm}
@@ -204,7 +196,12 @@ func (s *Session) InsertTwoPhase(u, v uint32) (stats.RunStats, error) {
 		return rs, err
 	}
 	core, cnt := s.St.Core, s.St.Cnt
-	s.setActive(u)
+	// The marks are the activation flags of Algorithm 7: a node is
+	// marked when activated and scanned while marked, and its scan moves
+	// its core off cold for good, so "core = cold and unmarked" is
+	// exactly "core = cold and never activated".
+	marks := s.St.Marks()
+	marks.Set(u)
 	touchedMin, touchedMax := u, u
 
 	vmin, vmax := u, u
@@ -214,14 +211,18 @@ func (s *Session) InsertTwoPhase(u, v uint32) (stats.RunStats, error) {
 		nextMin, nextMax := int64(s.G.NumNodes()), int64(-1)
 		curMax := vmax
 		computed = computed[:0]
-		err := s.G.ScanDynamic(vmin,
+		var iterComputed int64
+		err := graph.ScanMarked(s.G, vmin,
 			func() uint32 { return curMax },
-			func(w uint32) bool { return s.active(w) && core[w] == cold },
+			marks,
 			func(w uint32, nbrs []uint32) error {
 				core[w] = cold + 1
 				rs.Dirty = append(rs.Dirty, w)
 				rs.NodeComputations++
-				computed = append(computed, w)
+				iterComputed++
+				if s.Trace != nil {
+					computed = append(computed, w)
+				}
 				cnt[w] = s.St.ComputeCnt(nbrs, core[w])
 				for _, x := range nbrs {
 					if core[x] == cold+1 {
@@ -229,8 +230,8 @@ func (s *Session) InsertTwoPhase(u, v uint32) (stats.RunStats, error) {
 					}
 				}
 				for _, x := range nbrs {
-					if core[x] == cold && !s.active(x) {
-						s.setActive(x)
+					if core[x] == cold && !marks.Has(x) {
+						marks.Set(x)
 						if x < touchedMin {
 							touchedMin = x
 						}
@@ -255,10 +256,11 @@ func (s *Session) InsertTwoPhase(u, v uint32) (stats.RunStats, error) {
 				return nil
 			})
 		if err != nil {
+			marks.Reset()
 			return rs, err
 		}
 		rs.Iterations++
-		rs.UpdatedPerIter = append(rs.UpdatedPerIter, int64(len(computed)))
+		rs.UpdatedPerIter = append(rs.UpdatedPerIter, iterComputed)
 		if s.Trace != nil {
 			s.Trace(rs.Iterations, computed, core)
 		}
@@ -295,7 +297,13 @@ func (s *Session) InsertStar(u, v uint32) (stats.RunStats, error) {
 		return rs, err
 	}
 	core, cnt := s.St.Core, s.St.Cnt
+	// A node is scanned while it is ? or a √ short of support. It is
+	// marked when it becomes ? and when a √ node's cnt drops below
+	// cold+1; only its own scan moves it out of either condition, so the
+	// marks are exactly the nodes the scan would select.
+	marks := s.St.Marks()
 	s.setStat(u, statusMaybe)
+	marks.Set(u)
 
 	vmin, vmax := u, u
 	var computed []uint32
@@ -304,17 +312,18 @@ func (s *Session) InsertStar(u, v uint32) (stats.RunStats, error) {
 		nextMin, nextMax := int64(s.G.NumNodes()), int64(-1)
 		curMax := vmax
 		computed = computed[:0]
-		err := s.G.ScanDynamic(vmin,
+		var iterComputed int64
+		err := graph.ScanMarked(s.G, vmin,
 			func() uint32 { return curMax },
-			func(w uint32) bool {
-				st := s.stat(w)
-				return st == statusMaybe ||
-					(st == statusRaised && cnt[w] < int32(cold)+1)
-			},
+			marks,
 			func(w uint32, nbrs []uint32) error {
 				rs.NodeComputations++
-				computed = append(computed, w)
+				iterComputed++
+				if s.Trace != nil {
+					computed = append(computed, w)
+				}
 				mark := func(x uint32) {
+					marks.Set(x)
 					// UpdateRange
 					if x > curMax {
 						curMax = x
@@ -373,10 +382,11 @@ func (s *Session) InsertStar(u, v uint32) (stats.RunStats, error) {
 				return nil
 			})
 		if err != nil {
+			marks.Reset()
 			return rs, err
 		}
 		rs.Iterations++
-		rs.UpdatedPerIter = append(rs.UpdatedPerIter, int64(len(computed)))
+		rs.UpdatedPerIter = append(rs.UpdatedPerIter, iterComputed)
 		if s.Trace != nil {
 			s.Trace(rs.Iterations, computed, core)
 		}

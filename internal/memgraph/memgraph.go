@@ -169,4 +169,14 @@ func (g *CSR) ScanDynamic(vmin uint32, vmaxFn func() uint32, want func(v uint32)
 	return nil
 }
 
-var _ graph.Source = (*CSR)(nil)
+// ScanMarked implements graph.MarkedScanner.
+func (g *CSR) ScanMarked(vmin uint32, vmaxFn func() uint32, marks *graph.Marks, fn func(v uint32, nbrs []uint32) error) error {
+	return marks.Visit(vmin, vmaxFn, g.NumNodes(), func(v uint32) error {
+		return fn(v, g.Neighbors(v))
+	})
+}
+
+var (
+	_ graph.Source        = (*CSR)(nil)
+	_ graph.MarkedScanner = (*CSR)(nil)
+)

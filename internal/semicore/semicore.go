@@ -118,6 +118,9 @@ func SemiCore(g graph.Source, opts *Options) (*Result, error) {
 // [vmin, vmax] window of nodes that might change. A core-number update
 // reactivates all neighbours; smaller-id neighbours are deferred to the
 // next iteration, larger-id ones extend the current scan (UpdateRange).
+// The active flags are the marks of a marked scan (graph.ScanMarked):
+// the scan deactivates a node as it reaches it, as the algorithm does
+// before recomputing it, and skips inactive ids a word at a time.
 func SemiCorePlus(g graph.Source, opts *Options) (*Result, error) {
 	start := time.Now()
 	n := g.NumNodes()
@@ -126,15 +129,15 @@ func SemiCorePlus(g graph.Source, opts *Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	mem.Alloc("semicore+/core", int64(n)*4)
-	mem.Alloc("semicore+/active", int64(n))
-	defer mem.Free("semicore+/core")
-	defer mem.Free("semicore+/active")
-
-	active := make([]bool, n)
-	for i := range active {
-		active[i] = true
+	active := graph.NewMarks(n)
+	for v := uint32(0); v < n; v++ {
+		active.Set(v)
 	}
+	mem.Alloc("semicore+/core", int64(n)*4)
+	mem.Alloc("semicore+/marks", active.Bytes())
+	defer mem.Free("semicore+/core")
+	defer mem.Free("semicore+/marks")
+
 	res := &Result{Core: core}
 	res.Stats.Algorithm = "SemiCore+"
 	var buf localCoreBuf
@@ -153,11 +156,10 @@ func SemiCorePlus(g graph.Source, opts *Options) (*Result, error) {
 		curMax := vmax
 		var iterUpdated int64
 		computed = computed[:0]
-		err := g.ScanDynamic(vmin,
+		err := graph.ScanMarked(g, vmin,
 			func() uint32 { return curMax },
-			func(v uint32) bool { return active[v] },
+			&active,
 			func(v uint32, nbrs []uint32) error {
-				active[v] = false
 				cold := core[v]
 				nc := buf.compute(cold, nbrs, core)
 				res.Stats.NodeComputations++
@@ -170,7 +172,7 @@ func SemiCorePlus(g graph.Source, opts *Options) (*Result, error) {
 				core[v] = nc
 				iterUpdated++
 				for _, u := range nbrs {
-					active[u] = true
+					active.Set(u)
 					// UpdateRange (Algorithm 4 lines 17-21).
 					if u > curMax {
 						curMax = u

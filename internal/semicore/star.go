@@ -16,19 +16,35 @@ type State struct {
 	Core []uint32
 	Cnt  []int32
 	buf  localCoreBuf
+	// marks holds the candidates of the running window scan; it is
+	// empty between calls (see Marks).
+	marks graph.Marks
 }
 
 // NewState allocates zeroed state for n nodes, registering the 8n model
-// bytes with mem (which may be nil).
+// bytes and the n/8 bytes of scan marks with mem (which may be nil).
 func NewState(n uint32, mem *stats.MemModel) *State {
-	if mem != nil {
-		mem.Alloc("semicore*/core", int64(n)*4)
-		mem.Alloc("semicore*/cnt", int64(n)*4)
-	}
-	return &State{
+	st := &State{
 		Core: make([]uint32, n),
 		Cnt:  make([]int32, n),
 	}
+	if mem != nil {
+		mem.Alloc("semicore*/core", int64(n)*4)
+		mem.Alloc("semicore*/cnt", int64(n)*4)
+		mem.Alloc("semicore*/marks", st.Marks().Bytes())
+	}
+	return st
+}
+
+// Marks returns the state's candidate set for window scans, sized to
+// the node count on first use. Every operation that marks nodes leaves
+// the set empty again when it returns, so SemiCore*'s converge loop and
+// the maintenance algorithms share it.
+func (s *State) Marks() *graph.Marks {
+	if s.marks.Cap() < uint64(len(s.Core)) {
+		s.marks = graph.NewMarks(uint32(len(s.Core)))
+	}
+	return &s.marks
 }
 
 // LocalCore applies the locality equation once for a node with estimate
@@ -61,6 +77,13 @@ func (s *State) UpdateNbrCnt(nbrs []uint32, cold, cnew uint32) {
 // UpdateRange until a full pass triggers no next-iteration work. It is
 // shared verbatim by SemiCoreStar, SemiDelete* and SemiInsert's phase 2.
 //
+// The scans are marked scans (graph.ScanMarked): one tight pass seeds
+// the marks with the window's nodes that already fail the test, and a
+// node is marked again exactly when a neighbour's recomputation drops
+// its cnt below its core. The test only turns true through such a drop
+// and only turns false through a recomputation, so the marked scan
+// visits the same nodes in the same order as testing every id.
+//
 // rs accumulates iterations, node computations and per-iteration update
 // counts; tr may be nil.
 func (s *State) Converge(g graph.Source, vmin, vmax uint32, rs *stats.RunStats, tr Trace) error {
@@ -71,6 +94,12 @@ func (s *State) Converge(g graph.Source, vmin, vmax uint32, rs *stats.RunStats, 
 	if vmax >= n {
 		return fmt.Errorf("semicore: converge window [%d,%d] exceeds n=%d", vmin, vmax, n)
 	}
+	marks := s.Marks()
+	for v := vmin; v <= vmax; v++ {
+		if s.Cnt[v] < int32(s.Core[v]) {
+			marks.Set(v)
+		}
+	}
 	var computed []uint32
 	for update := true; update; {
 		update = false
@@ -78,9 +107,9 @@ func (s *State) Converge(g graph.Source, vmin, vmax uint32, rs *stats.RunStats, 
 		curMax := vmax
 		var iterUpdated int64
 		computed = computed[:0]
-		err := g.ScanDynamic(vmin,
+		err := graph.ScanMarked(g, vmin,
 			func() uint32 { return curMax },
-			func(v uint32) bool { return s.Cnt[v] < int32(s.Core[v]) },
+			marks,
 			func(v uint32, nbrs []uint32) error {
 				cold := s.Core[v]
 				nc := s.buf.compute(cold, nbrs, s.Core)
@@ -97,6 +126,7 @@ func (s *State) Converge(g graph.Source, vmin, vmax uint32, rs *stats.RunStats, 
 				s.UpdateNbrCnt(nbrs, cold, nc)
 				for _, u := range nbrs {
 					if s.Cnt[u] < int32(s.Core[u]) {
+						marks.Set(u)
 						// UpdateRange (shared with Algorithm 4).
 						if u > curMax {
 							curMax = u
@@ -115,6 +145,7 @@ func (s *State) Converge(g graph.Source, vmin, vmax uint32, rs *stats.RunStats, 
 				return nil
 			})
 		if err != nil {
+			marks.Reset()
 			return err
 		}
 		rs.Iterations++
@@ -140,6 +171,7 @@ func SemiCoreStar(g graph.Source, opts *Options) (*Result, error) {
 	st := NewState(n, mem)
 	defer mem.Free("semicore*/core")
 	defer mem.Free("semicore*/cnt")
+	defer mem.Free("semicore*/marks")
 	err := g.ScanDegrees(func(v uint32, deg uint32) error {
 		st.Core[v] = deg
 		return nil

@@ -175,11 +175,7 @@ func (m *mirror) Scan(vmin, vmax uint32, want func(v uint32) bool, fn func(v uin
 	return m.ScanDynamic(vmin, func() uint32 { return vmax }, want, fn)
 }
 
-// ScanDynamic walks the window exactly as the disk scans do, but
-// evaluates want before touching a node's adjacency: under the
-// region-parallel flush the want predicate is what keeps a worker
-// inside its own region, so a foreign node costs one private-state read
-// and nothing shared.
+// ScanDynamic walks the window exactly as the disk scans do.
 func (m *mirror) ScanDynamic(vmin uint32, vmaxFn func() uint32, want func(v uint32) bool, fn func(v uint32, nbrs []uint32) error) error {
 	n := uint64(m.NumNodes())
 	for v := uint64(vmin); v <= uint64(vmaxFn()) && v < n; v++ {
@@ -196,7 +192,21 @@ func (m *mirror) ScanDynamic(vmin uint32, vmaxFn func() uint32, want func(v uint
 	return nil
 }
 
-var _ maintain.NeighborGraph = (*mirror)(nil)
+// ScanMarked implements graph.MarkedScanner. Under the region-parallel
+// flush each worker session owns its marks and marks only nodes of its
+// own region, so a worker's window scan never reaches a foreign node's
+// adjacency or state; the mirror itself keeps no scan scratch, so
+// concurrent scans share nothing mutable.
+func (m *mirror) ScanMarked(vmin uint32, vmaxFn func() uint32, marks *graph.Marks, fn func(v uint32, nbrs []uint32) error) error {
+	return marks.Visit(vmin, vmaxFn, m.NumNodes(), func(v uint32) error {
+		return fn(v, m.adj[v])
+	})
+}
+
+var (
+	_ maintain.NeighborGraph = (*mirror)(nil)
+	_ graph.MarkedScanner    = (*mirror)(nil)
+)
 
 func sortedContains(l []uint32, x uint32) bool {
 	i := sort.Search(len(l), func(i int) bool { return l[i] >= x })

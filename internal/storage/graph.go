@@ -143,6 +143,11 @@ type Graph struct {
 
 	recBuf [NodeRecordSize]byte
 	nbrBuf []byte // scratch for neighbour byte decoding
+	// scanNbrs is the decoded-list buffer scans hand their callbacks;
+	// scanning marks it lent out, so a scan started from inside a
+	// callback decodes into a fresh buffer instead.
+	scanNbrs []uint32
+	scanning bool
 }
 
 // Open opens the graph stored at base, charging subsequent reads to ctr.
@@ -290,20 +295,13 @@ func (g *Graph) ScanDynamic(vmin uint32, vmaxFn func() uint32, want func(v uint3
 	if g.meta.N == 0 {
 		return nil
 	}
-	var nbrs []uint32
+	load, done := g.scanLoader(fn)
+	defer done()
 	for v := vmin; v <= vmaxFn() && v < g.meta.N; v++ {
 		if want != nil && !want(v) {
 			continue
 		}
-		off, deg, err := g.NodeRecord(v)
-		if err != nil {
-			return err
-		}
-		nbrs, err = g.readList(off, deg, nbrs)
-		if err != nil {
-			return err
-		}
-		if err := fn(v, nbrs); err != nil {
+		if err := load(v); err != nil {
 			if graph.IsStop(err) {
 				return nil
 			}
@@ -311,6 +309,42 @@ func (g *Graph) ScanDynamic(vmin uint32, vmaxFn func() uint32, want func(v uint3
 		}
 	}
 	return nil
+}
+
+// ScanMarked implements graph.MarkedScanner: it reads the node record
+// and list of exactly the marked ids, in the order ScanDynamic would,
+// so the block reads charged are the same.
+func (g *Graph) ScanMarked(vmin uint32, vmaxFn func() uint32, marks *graph.Marks, fn func(v uint32, nbrs []uint32) error) error {
+	load, done := g.scanLoader(fn)
+	defer done()
+	return marks.Visit(vmin, vmaxFn, g.meta.N, load)
+}
+
+// scanLoader returns a per-node step that reads nbr(v) and calls fn,
+// decoding into the graph's reusable scan buffer — or a fresh one when
+// a scan is already running — and the release to defer.
+func (g *Graph) scanLoader(fn func(v uint32, nbrs []uint32) error) (load func(v uint32) error, done func()) {
+	var nbrs []uint32
+	owner := !g.scanning
+	if owner {
+		g.scanning, nbrs = true, g.scanNbrs
+	}
+	load = func(v uint32) error {
+		off, deg, err := g.NodeRecord(v)
+		if err != nil {
+			return err
+		}
+		if nbrs, err = g.readList(off, deg, nbrs); err != nil {
+			return err
+		}
+		return fn(v, nbrs)
+	}
+	done = func() {
+		if owner {
+			g.scanning, g.scanNbrs = false, nbrs[:0]
+		}
+	}
+	return load, done
 }
 
 // InvalidateBuffers drops both tables' block buffers, forcing the next

@@ -23,10 +23,13 @@ type BuildOptions struct {
 	// NumNodes forces the node count; 0 derives max id + 1.
 	NumNodes uint32
 	// SortBudgetArcs bounds the arcs the external sorter holds in memory
-	// (the build never materialises the graph); 0 selects a default.
+	// (the build never materialises the graph); 0 selects 1<<20. The sort
+	// memory is at most SortBudgetArcs*8 bytes plus a 512 KiB sort
+	// scratch, and two I/O blocks per spilled run while the runs merge.
 	SortBudgetArcs int
 	// TempDir holds external-sort spill runs; empty uses the graph's
-	// directory.
+	// directory. Run files get unique names, so concurrent builds may
+	// share it.
 	TempDir string
 }
 

@@ -112,8 +112,9 @@ func TestArcLessProperty(t *testing.T) {
 }
 
 func TestSortProperty(t *testing.T) {
+	dir := t.TempDir()
 	f := func(raw []uint32, budget uint8) bool {
-		s := NewSorter(os.TempDir(), int(budget%32)+2, nil)
+		s := NewSorter(dir, int(budget%32)+2, nil)
 		for i := 0; i+1 < len(raw); i += 2 {
 			if err := s.Add(Arc{U: raw[i] % 1000, V: raw[i+1] % 1000}); err != nil {
 				return false

@@ -55,9 +55,12 @@ type BuildOptions struct {
 	// N forces the node count; 0 derives it as max id + 1.
 	N uint32
 	// SortBudgetArcs bounds the arcs the external sorter holds in memory;
-	// 0 selects the sorter default.
+	// 0 selects 1<<20. The sort memory is at most SortBudgetArcs*8 bytes
+	// plus a 512 KiB sort scratch, and two I/O blocks per spilled run
+	// while the runs merge (see extsort.NewSorter).
 	SortBudgetArcs int
-	// TempDir holds spill runs; empty uses the target's directory.
+	// TempDir holds spill runs; empty uses the target's directory. Runs
+	// get unique names, so concurrent builds may share it.
 	TempDir string
 	// IO receives block-level accounting for the build; nil allocates a
 	// private counter.
@@ -77,6 +80,7 @@ func Build(base string, src EdgeSource, opts BuildOptions) error {
 		dir = filepath.Dir(base)
 	}
 	sorter := extsort.NewSorter(dir, opts.SortBudgetArcs, ctr)
+	defer sorter.Close()
 	n := opts.N
 	err := src.Edges(func(u, v uint32) error {
 		if u == v {

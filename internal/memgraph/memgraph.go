@@ -7,6 +7,7 @@ package memgraph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"kcore/internal/graph"
@@ -65,8 +66,7 @@ func FromEdges(n uint32, edges []Edge) (*CSR, error) {
 	}
 	g := &CSR{offsets: offsets, adj: adj}
 	for v := uint32(0); v < n; v++ {
-		l := g.Neighbors(v)
-		sort.Slice(l, func(i, j int) bool { return l[i] < l[j] })
+		slices.Sort(g.Neighbors(v))
 	}
 	return g, nil
 }

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"slices"
 	"sort"
 
 	"kcore/internal/memgraph"
@@ -54,7 +55,7 @@ func (m *Mirror) Seed(u, v uint32) {
 // Finish sorts every list after seeding.
 func (m *Mirror) Finish() {
 	for v := range m.adj {
-		sort.Slice(m.adj[v], func(i, j int) bool { return m.adj[v][i] < m.adj[v][j] })
+		slices.Sort(m.adj[v])
 	}
 }
 
